@@ -14,8 +14,9 @@
 //! seed. `run-experiments chaos` exits nonzero if the zero-rate arm
 //! diverges.
 
+use crate::digest::{fnv1a64, fnv1a64_json};
 use opml_cohort::semester::{simulate_semester_with, SemesterConfig};
-use opml_faults::{site_key, FaultProfile, FaultStats};
+use opml_faults::{FaultProfile, FaultStats};
 use opml_metering::rollup::AssignmentRollup;
 use opml_pricing::estimate::price_lab_assignments;
 use opml_report::latency::{latency_table, LatencyUnit};
@@ -111,8 +112,8 @@ fn run_arm(seed: u64, enrollment: u32, rate: Option<f64>) -> ChaosArm {
     };
     let outcome = simulate_semester_with(&config, seed, &telemetry);
     let jsonl = export_jsonl(&sink.events());
-    let ledger_json = serde_json::to_string(&outcome.ledger).expect("ledger serializes");
-    let digest = site_key(&jsonl) ^ site_key(&ledger_json).rotate_left(1);
+    // The ledger is hashed while it serializes, never held as text.
+    let digest = fnv1a64(jsonl.as_bytes()) ^ fnv1a64_json(&outcome.ledger).rotate_left(1);
     let rollup = AssignmentRollup::from_ledger(&outcome.ledger, enrollment as usize);
     let priced = price_lab_assignments(&rollup);
     ChaosArm {

@@ -7,6 +7,14 @@
 //! record-by-record without ever holding the serialized whole, and
 //! feeding the same bytes in any chunking yields the same digest as
 //! one [`fnv1a64`] call.
+//!
+//! [`Fnv64`] is also a [`fmt::Write`] sink, so JSON is hashed while it
+//! is serialized: [`Fnv64::write_json`] streams a value's compact JSON
+//! (the exact bytes `serde_json::to_string` would return) straight into
+//! the state, with no intermediate `String` and no heap allocation.
+
+use serde::Serialize;
+use std::fmt;
 
 /// Incremental FNV-1a 64-bit hasher. `update` in any chunking is
 /// equivalent to hashing the concatenation.
@@ -29,9 +37,22 @@ impl Fnv64 {
         self.0 = h;
     }
 
+    /// Fold the compact JSON of `value` into the state, serializing
+    /// straight into the hasher.
+    pub fn write_json<T: Serialize + ?Sized>(&mut self, value: &T) {
+        value.serialize(&mut serde_json::Serializer::new(self));
+    }
+
     /// The digest of everything updated so far.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -46,6 +67,13 @@ impl Default for Fnv64 {
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.update(bytes);
+    h.finish()
+}
+
+/// FNV-1a 64-bit of `value`'s compact JSON, without materializing it.
+pub fn fnv1a64_json<T: Serialize + ?Sized>(value: &T) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_json(value);
     h.finish()
 }
 
@@ -64,6 +92,13 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(fnv1a64(b"ledger-a"), fnv1a64(b"ledger-b"));
+    }
+
+    #[test]
+    fn streamed_json_hashes_the_serialized_bytes() {
+        let value = (vec!["a\"b", "lab1-s000"], Some(2.0f64), -7i64);
+        let text = serde_json::to_string(&value).expect("serializes");
+        assert_eq!(fnv1a64_json(&value), fnv1a64(text.as_bytes()));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! explicitly suppressed for `opml-detlint` — the measured times are
 //! reported, never fed back into simulation state.
 
-use crate::digest::{fnv1a64, Fnv64};
+use crate::digest::Fnv64;
 use opml_cohort::semester::{
     simulate_semester, simulate_semester_serial, SemesterConfig, SemesterOutcome,
 };
@@ -44,6 +44,7 @@ use opml_report::table::{fmt_num, Table};
 use opml_simkernel::parallel::with_thread_count;
 use opml_telemetry::Telemetry;
 use opml_testbed::ledger::UsageRecord;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -123,13 +124,28 @@ pub struct ScaleReport {
 
 /// Digest every determinism-relevant byte of an outcome: the full
 /// serialized ledger plus the scalar counters and fault stats.
+///
+/// The ledger's JSON is serialized straight into the hasher, so the
+/// digest costs no allocation however many records the ledger holds.
 pub fn digest_outcome(outcome: &SemesterOutcome) -> u64 {
-    let mut blob = serde_json::to_string(&outcome.ledger).expect("ledger serializes");
-    blob.push_str(&format!(
-        "|qd={}|pb={}|faults={:?}",
-        outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
-    ));
-    fnv1a64(blob.as_bytes())
+    let mut hash = Fnv64::new();
+    hash.write_json(&outcome.ledger);
+    fold_scalars(
+        &mut hash,
+        outcome.quota_denials,
+        outcome.slot_pushbacks,
+        &outcome.faults,
+    );
+    hash.finish()
+}
+
+/// Fold the counters that follow the ledger in every outcome digest.
+fn fold_scalars(hash: &mut Fnv64, quota_denials: u64, slot_pushbacks: u64, faults: &FaultStats) {
+    // Writing into an `Fnv64` cannot fail.
+    let _ = write!(
+        hash,
+        "|qd={quota_denials}|pb={slot_pushbacks}|faults={faults:?}"
+    );
 }
 
 /// Incremental form of [`digest_outcome`] for the streaming path:
@@ -158,16 +174,13 @@ impl OutcomeDigest {
         } else {
             self.hash.update(b",");
         }
-        let json = serde_json::to_string(record).expect("record serializes");
-        self.hash.update(json.as_bytes());
+        self.hash.write_json(record);
     }
 
     /// Close the envelope, fold the scalar counters, return the digest.
     pub fn finish(mut self, quota_denials: u64, slot_pushbacks: u64, faults: &FaultStats) -> u64 {
         self.hash.update(b"]}");
-        self.hash.update(
-            format!("|qd={quota_denials}|pb={slot_pushbacks}|faults={faults:?}").as_bytes(),
-        );
+        fold_scalars(&mut self.hash, quota_denials, slot_pushbacks, faults);
         self.hash.finish()
     }
 }

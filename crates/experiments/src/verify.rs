@@ -58,26 +58,30 @@ impl VerifyOutcome {
     }
 }
 
-use crate::digest::fnv1a64;
+use crate::digest::Fnv64;
+use std::fmt::Write as _;
 
 /// Run `table1` + `fig2` once — with telemetry recording — and digest
 /// every serialized artifact, including the telemetry trace bytes, so a
-/// nondeterministic event stream fails verification too.
+/// nondeterministic event stream fails verification too. The artifacts
+/// are hashed in order as they serialize, never concatenated.
 fn digest_one(seed: u64) -> u64 {
     let sink = opml_telemetry::MemorySink::new();
     let telemetry = opml_telemetry::Telemetry::with_sink(sink.clone());
     let ctx = crate::run_paper_course_with(seed, &telemetry);
     let (t1_text, t1_cmp) = table1::run(&ctx);
     let (f2_text, f2_cmp) = fig2::run(&ctx);
-    let mut blob = opml_telemetry::export_jsonl(&sink.events());
-    blob.push_str(&t1_text);
-    blob.push_str(&f2_text);
-    blob.push_str(&serde_json::to_string(&t1_cmp).expect("serialize table1 comparisons"));
-    blob.push_str(&serde_json::to_string(&f2_cmp).expect("serialize fig2 comparisons"));
-    blob.push_str(&serde_json::to_string(&ctx.per_student).expect("serialize per-student usage"));
-    blob.push_str(&serde_json::to_string(&ctx.rollup).expect("serialize rollup"));
-    blob.push_str(&format!("records={}", ctx.outcome.ledger.records().len()));
-    fnv1a64(blob.as_bytes())
+    let mut hash = Fnv64::new();
+    hash.update(opml_telemetry::export_jsonl(&sink.events()).as_bytes());
+    hash.update(t1_text.as_bytes());
+    hash.update(f2_text.as_bytes());
+    hash.write_json(&t1_cmp);
+    hash.write_json(&f2_cmp);
+    hash.write_json(&ctx.per_student);
+    hash.write_json(&ctx.rollup);
+    // Writing into an `Fnv64` cannot fail.
+    let _ = write!(hash, "records={}", ctx.outcome.ledger.records().len());
+    hash.finish()
 }
 
 /// Run the sweep: two repetitions at each thread count.

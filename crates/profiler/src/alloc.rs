@@ -18,8 +18,9 @@
 //!
 //! The record path must be re-entrancy safe: it runs inside
 //! `GlobalAlloc::alloc` and therefore must not allocate, lock, or touch
-//! lazily-initialised thread-locals. It reads a `const`-init TLS cell
-//! and bumps static atomics, nothing else.
+//! lazily-initialised thread-locals. It touches two `const`-init TLS
+//! cells (the active phase and [`thread_allocs`]) and bumps static
+//! atomics, nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,6 +33,12 @@ static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_DEALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations this thread made while counting was enabled.
+    /// `const`-initialised so the allocator can bump it re-entrantly.
+    static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Global allocation totals (independent of phase attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,6 +84,13 @@ pub fn totals() -> AllocTotals {
     }
 }
 
+/// Allocations the calling thread has made while counting was enabled
+/// (monotone; never reset). The difference across a region is that
+/// region's own allocation count, unaffected by other threads.
+pub fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.try_with(|c| c.get()).unwrap_or(0)
+}
+
 /// Runtime probe: is [`CountingAlloc`] actually the global allocator?
 /// Briefly enables counting, performs a heap allocation through a
 /// `black_box`, and checks whether the global counter moved. Restores
@@ -98,6 +112,7 @@ fn record(bytes: usize, is_alloc: bool) {
         return;
     }
     if is_alloc {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
         GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         GLOBAL_ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     } else {
@@ -112,7 +127,7 @@ fn record(bytes: usize, is_alloc: bool) {
 pub struct CountingAlloc;
 
 // SAFETY: defers every allocation decision to `System`; the counting
-// side channel only touches atomics and a const-init TLS cell, so the
+// side channel only touches atomics and const-init TLS cells, so the
 // GlobalAlloc contract (no unwinding, no reentrant allocation) holds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

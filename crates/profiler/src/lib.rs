@@ -38,7 +38,7 @@ pub mod spanprof;
 
 pub use alloc::{
     counting_allocator_installed, disable_counting, enable_counting, is_counting, reset_totals,
-    totals, AllocTotals, CountingAlloc,
+    thread_allocs, totals, AllocTotals, CountingAlloc,
 };
 pub use json::Json;
 pub use phase::{

@@ -22,6 +22,11 @@ cargo clippy -q -p opml-detlint --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> vendored serde shim unit tests (the JSON bytes every digest hashes)"
+# The shims are outside the workspace, so tier-1 never runs their tests.
+cargo test -q --manifest-path vendor/serde/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml --target-dir target/vendor
+
 echo "==> trace smoke run (tiny cohort, byte-stability)"
 trace_dir=$(mktemp -d)
 cargo run --release -q -p opml-experiments --bin run-experiments -- \

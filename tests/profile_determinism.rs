@@ -9,22 +9,30 @@
 //! wrapper `run-experiments --features alloc-profile` installs), so
 //! the per-phase allocation ceilings below are measured for real —
 //! they pin the hot-path allocation pass and fail if per-event string
-//! churn creeps back into `shard.sim` or the merge phases.
+//! churn creeps back into `shard.sim` or the merge phases. The same
+//! allocator pins the outcome digest at zero allocations per record.
 
+use opml_cohort::semester::{simulate_semester, SemesterConfig, SemesterOutcome};
 use opml_experiments::profile::{run, ProfileConfig, ProfileReport};
+use opml_experiments::scale::{digest_outcome, OutcomeDigest};
 use opml_profiler::Json;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static COUNTING_ALLOC: opml_profiler::CountingAlloc = opml_profiler::CountingAlloc;
 
 /// `run` mutates process-global profiler state (phase slots, counting
-/// toggles); hold this across every profiled run so the harness's test
-/// threads cannot interleave two captures.
+/// toggles); hold this across every profiled run, every allocator
+/// probe and every counted region, so the harness's test threads cannot
+/// interleave them.
 static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 
+fn profile_lock() -> MutexGuard<'static, ()> {
+    PROFILE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn run_locked(config: &ProfileConfig) -> ProfileReport {
-    let _guard = PROFILE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = profile_lock();
     run(config)
 }
 
@@ -116,7 +124,13 @@ fn profile_names_merge_phases_separately_from_shard_sim() {
 
 #[test]
 fn phase_alloc_counts_stay_under_the_optimized_ceilings() {
-    if !opml_profiler::counting_allocator_installed() {
+    // The probe toggles the global counting flag, so it must not overlap
+    // a sibling's profiled run.
+    let installed = {
+        let _guard = profile_lock();
+        opml_profiler::counting_allocator_installed()
+    };
+    if !installed {
         // Defensive: this binary declares the allocator above, so the
         // probe can only fail if the declaration is removed.
         panic!("counting allocator not installed in the test binary");
@@ -175,5 +189,66 @@ fn pool_machinery_is_fenced_into_runtime_pool() {
         pool.get("allocs").and_then(Json::as_u64).unwrap_or(0) > 0,
         "pool dispatch at 8 threads must allocate (worker result buffers), \
          and those allocations must land in runtime.pool"
+    );
+}
+
+/// A labs-only cohort forced across several 48-student shards.
+fn multi_shard_outcome(enrollment: u32) -> SemesterOutcome {
+    let config = SemesterConfig {
+        enrollment,
+        run_projects: false,
+        shard_students: 48,
+        ..SemesterConfig::paper_course()
+    };
+    assert!(config.shards().len() > 1, "config must actually shard");
+    simulate_semester(&config, 42)
+}
+
+/// Run `f` with counting on; return its result and the number of
+/// allocations the calling thread made inside it.
+fn thread_allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    opml_profiler::enable_counting();
+    let before = opml_profiler::thread_allocs();
+    let r = f();
+    let after = opml_profiler::thread_allocs();
+    opml_profiler::disable_counting();
+    (r, after - before)
+}
+
+#[test]
+fn outcome_digest_allocations_do_not_grow_with_record_count() {
+    // Simulating with a sibling's capture enabled would add phase
+    // enters to it, so the whole test holds the lock.
+    let _guard = profile_lock();
+    assert!(
+        opml_profiler::counting_allocator_installed(),
+        "counting allocator not installed in the test binary"
+    );
+    let small = multi_shard_outcome(96);
+    let large = multi_shard_outcome(191);
+    assert!(large.ledger.records().len() > small.ledger.records().len());
+
+    let (_, small_allocs) = thread_allocs_during(|| digest_outcome(&small));
+    let (large_digest, large_allocs) = thread_allocs_during(|| digest_outcome(&large));
+    assert_eq!(
+        large_allocs,
+        small_allocs,
+        "digest_outcome allocations grew with the ledger ({} vs {} records)",
+        large.ledger.records().len(),
+        small.ledger.records().len()
+    );
+    assert_eq!(
+        large_allocs, 0,
+        "digest_outcome must hash the ledger's JSON as it serializes, without allocating"
+    );
+
+    let mut streamed = OutcomeDigest::new();
+    for record in large.ledger.records() {
+        streamed.push(record);
+    }
+    assert_eq!(
+        streamed.finish(large.quota_denials, large.slot_pushbacks, &large.faults),
+        large_digest,
+        "OutcomeDigest fed the same records must equal digest_outcome"
     );
 }
