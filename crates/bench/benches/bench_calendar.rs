@@ -25,6 +25,7 @@
 
 use opml_bench::perfgate::{min_of, Gate};
 use opml_experiments::digest::fnv1a64;
+use opml_profiler::timed;
 use opml_profiler::Json;
 use opml_simkernel::{SimDuration, SimTime};
 use opml_testbed::lease::naive::NaiveCalendar;
@@ -189,15 +190,6 @@ macro_rules! replay_with {
         }
         r
     }};
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 fn main() {

@@ -57,6 +57,7 @@ use opml_bench::perfgate::{min_of, Gate};
 use opml_cohort::semester::{simulate_semester, simulate_semester_serial, SemesterConfig};
 use opml_cohort::spill::{simulate_semester_streaming_serial, SpillConfig};
 use opml_experiments::scale::{digest_outcome, peak_rss_kb, OutcomeDigest};
+use opml_profiler::timed;
 use opml_profiler::Json;
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
 use opml_telemetry::Telemetry;
@@ -99,15 +100,6 @@ fn labs_config(enrollment: u32, shard_students: u32) -> SemesterConfig {
         shard_students,
         ..SemesterConfig::paper_course()
     }
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let outcome = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (outcome, start.elapsed().as_secs_f64())
 }
 
 /// The out-of-core arm, measured separately from the in-memory sweep.

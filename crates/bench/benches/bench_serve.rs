@@ -16,6 +16,7 @@
 //! suppressed only here.
 
 use opml_bench::perfgate::{min_of, Gate};
+use opml_profiler::timed;
 use opml_profiler::Json;
 use opml_serve::{run_service, ServeConfig, ServeReport};
 use opml_simkernel::parallel;
@@ -51,15 +52,6 @@ fn config() -> ServeConfig {
         deadline_s: 300,
         ..ServeConfig::default()
     }
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 fn soak(gate: &Gate) -> (ServeReport, f64) {

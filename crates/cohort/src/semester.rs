@@ -22,20 +22,22 @@
 use crate::behavior::StudentProfile;
 use crate::labspec::lab_specs;
 use crate::project::{plan_projects_range, ProjectPlan, GROUPS};
+use crate::spill::{SpillStats, StreamOutcome};
 use opml_faults::{site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, FaultStats};
 use opml_metering::attribution::student_name;
 use opml_simkernel::parallel::map_slice;
 use opml_simkernel::{split_seed, EventQueue, Rng, SimDuration, SimTime};
-use opml_telemetry::{MemorySink, MetricsSnapshot, Telemetry, TelemetryEvent};
+use opml_telemetry::{AttrValue, MemorySink, MetricsSnapshot, Telemetry, TelemetryEvent};
 use opml_testbed::error::CloudError;
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::instance::InstanceId;
 use opml_testbed::lease::LeaseId;
-use opml_testbed::ledger::Ledger;
+use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
 use opml_testbed::network::{FloatingIpId, NetworkId};
 use opml_testbed::storage::VolumeId;
 use opml_testbed::Cloud;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// A planned on-demand VM deployment.
 #[derive(Debug, Clone)]
@@ -324,6 +326,25 @@ impl FaultEngine {
         )
         .chance(self.profile.leak_prob)
     }
+
+    /// Count a deployment the student gave up on, and trace why.
+    fn abandon(
+        &mut self,
+        telemetry: &Telemetry,
+        t: SimTime,
+        name: &str,
+        cause: AttrValue,
+        leaked: bool,
+    ) {
+        self.stats.abandoned += 1;
+        telemetry.instant(t, "vm.abandon", || {
+            vec![
+                ("name", name.to_owned().into()),
+                ("cause", cause),
+                ("leaked", leaked.into()),
+            ]
+        });
+    }
 }
 
 /// Simulate a full semester; returns the closed ledger and counters.
@@ -349,14 +370,7 @@ pub fn simulate_semester_with(
     seed: u64,
     telemetry: &Telemetry,
 ) -> SemesterOutcome {
-    let shards = config.shards();
-    if let [only] = shards.as_slice() {
-        return run_shard(config, seed, only, telemetry, false);
-    }
-    let runs = map_slice(&shards, |_, shard| {
-        run_shard_buffered(config, seed, shard, telemetry.is_enabled())
-    });
-    merge_shard_runs(runs, telemetry)
+    simulate_in_memory(config, seed, telemetry, true)
 }
 
 /// Simulate a full semester strictly sequentially: the same shards as
@@ -373,15 +387,32 @@ pub fn simulate_semester_serial_with(
     seed: u64,
     telemetry: &Telemetry,
 ) -> SemesterOutcome {
-    let shards = config.shards();
-    if let [only] = shards.as_slice() {
-        return run_shard(config, seed, only, telemetry, false);
+    simulate_in_memory(config, seed, telemetry, false)
+}
+
+/// The pipeline over a [`MemoryStore`]; the merged ledger is moved,
+/// never cloned, into the outcome.
+fn simulate_in_memory(
+    config: &SemesterConfig,
+    seed: u64,
+    telemetry: &Telemetry,
+    parallel: bool,
+) -> SemesterOutcome {
+    let mut ledger = Ledger::new();
+    let Ok(tally) = pipeline(
+        config,
+        seed,
+        telemetry,
+        parallel,
+        &mut MemoryStore,
+        &mut ledger,
+    );
+    SemesterOutcome {
+        ledger,
+        quota_denials: tally.quota_denials,
+        slot_pushbacks: tally.slot_pushbacks,
+        faults: tally.faults,
     }
-    let runs: Vec<ShardRun> = shards
-        .iter()
-        .map(|shard| run_shard_buffered(config, seed, shard, telemetry.is_enabled()))
-        .collect();
-    merge_shard_runs(runs, telemetry)
 }
 
 /// Measured per-student telemetry event volume (2k-student profile run:
@@ -396,20 +427,185 @@ const LEDGER_RECORDS_PER_STUDENT: usize = 96;
 /// events is far below the total event count).
 const QUEUE_EVENTS_PER_STUDENT: usize = 16;
 
-/// Everything one shard produces, ready for the deterministic merge
-/// (in memory here; the out-of-core path in [`crate::spill`] writes the
-/// same pieces to disk instead).
+/// Everything one shard produces, ready for a [`ShardStore`].
 pub(crate) struct ShardRun {
     pub(crate) outcome: SemesterOutcome,
     pub(crate) events: Vec<TelemetryEvent>,
     pub(crate) metrics: MetricsSnapshot,
 }
 
+/// A shard's O(1) scalars, kept in memory whatever the store; the
+/// merge sums them across shards.
+fn tally_of(outcome: &SemesterOutcome) -> StreamOutcome {
+    StreamOutcome {
+        quota_denials: outcome.quota_denials,
+        slot_pushbacks: outcome.slot_pushbacks,
+        faults: outcome.faults,
+        records: outcome.ledger.records().len() as u64,
+        stats: SpillStats::default(),
+    }
+}
+
+/// Where finished shards wait for the merge: [`MemoryStore`] or the
+/// out-of-core store in [`crate::spill`].
+pub(crate) trait ShardStore: Sync {
+    type Error: Send;
+    type Run: Send;
+    type Source: RecordSource<Error = Self::Error>;
+    /// Wall phase of the final merge, sink included.
+    const MERGE_PHASE: &'static str;
+
+    /// Keep one finished, sorted shard; called on the pool.
+    fn put(&self, index: u32, run: ShardRun) -> Result<Self::Run, Self::Error>;
+
+    /// Replay the shard's telemetry through `telemetry`, then fold its
+    /// metrics; called in shard order.
+    fn replay(&mut self, run: &mut Self::Run, telemetry: &Telemetry) -> Result<(), Self::Error>;
+
+    /// Merge contiguous groups of runs until the rest may be open.
+    fn fan_in(&mut self, runs: Vec<Self::Run>) -> Result<Vec<Self::Run>, Self::Error> {
+        Ok(runs)
+    }
+
+    /// Open runs as merge sources, in order.
+    fn open(&mut self, runs: Vec<Self::Run>) -> Result<Vec<Self::Source>, Self::Error>;
+}
+
+/// Keeps every sorted shard run in memory; nothing can fail.
+struct MemoryStore;
+
+impl ShardStore for MemoryStore {
+    type Error = Infallible;
+    type Run = ShardRun;
+    type Source = std::vec::IntoIter<UsageRecord>;
+    const MERGE_PHASE: &'static str = opml_profiler::phases::MERGE_LEDGER;
+
+    fn put(&self, _index: u32, run: ShardRun) -> Result<ShardRun, Infallible> {
+        Ok(run)
+    }
+
+    fn replay(&mut self, run: &mut ShardRun, telemetry: &Telemetry) -> Result<(), Infallible> {
+        {
+            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
+            telemetry.replay_owned(std::mem::take(&mut run.events));
+        }
+        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
+        telemetry.merge_metrics(&run.metrics);
+        Ok(())
+    }
+
+    fn open(&mut self, runs: Vec<ShardRun>) -> Result<Vec<Self::Source>, Infallible> {
+        Ok(runs
+            .into_iter()
+            .map(|r| r.outcome.ledger.into_iter())
+            .collect())
+    }
+}
+
+/// The end of the pipeline: the merged ledger, by value, in order.
+pub(crate) trait RecordSink {
+    /// The exact record count, told before the first record.
+    fn reserve(&mut self, _records: u64) {}
+
+    fn accept(&mut self, record: UsageRecord);
+}
+
+impl RecordSink for Ledger {
+    fn reserve(&mut self, records: u64) {
+        Ledger::reserve(self, records as usize);
+    }
+
+    fn accept(&mut self, record: UsageRecord) {
+        self.push(record);
+    }
+}
+
+impl<F: FnMut(UsageRecord)> RecordSink for F {
+    fn accept(&mut self, record: UsageRecord) {
+        self(record);
+    }
+}
+
+/// The one semester pipeline behind every `simulate_semester*` entry
+/// point: simulate the shards into `store` (on the ambient pool when
+/// `parallel`), fold them in shard order ([`merge_shards`]), fan in,
+/// then one [`StreamMerge`] feeds all `records` of the returned tally
+/// to `sink`. A cohort that fits in one shard takes the legacy
+/// single-campus path instead: traced straight through `telemetry`, no
+/// store, and its close-order ledger drained into `sink` unsorted.
+pub(crate) fn pipeline<S: ShardStore>(
+    config: &SemesterConfig,
+    seed: u64,
+    telemetry: &Telemetry,
+    parallel: bool,
+    store: &mut S,
+    sink: &mut impl RecordSink,
+) -> Result<StreamOutcome, S::Error> {
+    let shards = config.shards();
+    if let [only] = shards.as_slice() {
+        let outcome = run_shard(config, seed, only, telemetry, false);
+        let tally = tally_of(&outcome);
+        sink.reserve(tally.records);
+        outcome.ledger.into_iter().for_each(|r| sink.accept(r));
+        return Ok(tally);
+    }
+    let put = |shard: &ShardSpec| {
+        let run = run_shard_buffered(config, seed, shard, telemetry.is_enabled());
+        let tally = tally_of(&run.outcome);
+        store.put(shard.index, run).map(|run| (tally, run))
+    };
+    let stored: Result<Vec<_>, _> = if parallel {
+        map_slice(&shards, |_, shard| put(shard))
+            .into_iter()
+            .collect()
+    } else {
+        shards.iter().map(put).collect()
+    };
+    let (tally, runs) = merge_shards(stored?, store, telemetry)?;
+    let runs = store.fan_in(runs)?;
+
+    let _phase = opml_profiler::wall_phase(S::MERGE_PHASE);
+    let mut merge = StreamMerge::new(store.open(runs)?)?;
+    sink.reserve(tally.records);
+    while let Some(record) = merge.next()? {
+        sink.accept(record);
+    }
+    Ok(tally)
+}
+
+/// Fold stored shards, in shard-index order, into one tally and the
+/// runs to merge.
+///
+/// Merge laws, each associative and stable under the fixed shard
+/// order: `u64` counters sum exactly; [`FaultStats`] sum fieldwise;
+/// telemetry buffers replay through the parent handle in shard-index
+/// order (fresh, gapless sequence stamps); metric snapshots fold via
+/// [`Telemetry::merge_metrics`]. The ledgers merge afterwards, in
+/// [`StreamMerge`]'s canonical order with ties broken by shard index.
+fn merge_shards<S: ShardStore>(
+    stored: Vec<(StreamOutcome, S::Run)>,
+    store: &mut S,
+    telemetry: &Telemetry,
+) -> Result<(StreamOutcome, Vec<S::Run>), S::Error> {
+    telemetry.counter_add("semester.shards", stored.len() as u64);
+    let mut total = StreamOutcome::default();
+    let mut runs = Vec::with_capacity(stored.len());
+    for (tally, mut run) in stored {
+        store.replay(&mut run, telemetry)?;
+        total.quota_denials += tally.quota_denials;
+        total.slot_pushbacks += tally.slot_pushbacks;
+        total.faults.merge(&tally.faults);
+        total.records += tally.records;
+        runs.push(run);
+    }
+    Ok((total, runs))
+}
+
 /// Execute one shard against a private telemetry buffer (or fully
 /// disabled telemetry when the parent handle is disabled), so shards
 /// never contend on the parent handle and their event streams can be
 /// replayed in shard order afterwards.
-pub(crate) fn run_shard_buffered(
+fn run_shard_buffered(
     config: &SemesterConfig,
     seed: u64,
     shard: &ShardSpec,
@@ -419,72 +615,25 @@ pub(crate) fn run_shard_buffered(
     // profiler): the shard body vs the merge stages below is exactly
     // the split that explains sharded-vs-serial wall time.
     let _phase = opml_profiler::wall_phase(opml_profiler::phases::SHARD_SIM);
-    if record {
+    let (telemetry, sink) = if record {
         let sink = MemorySink::with_capacity(shard.student_count() as usize * EVENTS_PER_STUDENT);
-        let telemetry = Telemetry::with_sink(sink.clone());
-        let mut outcome = run_shard(config, seed, shard, &telemetry, true);
-        // Sort here, inside the (possibly parallel) shard map, so the
-        // merge can k-way merge pre-sorted runs instead of re-sorting
-        // the concatenated whole. The single-shard legacy path never
-        // comes through here and keeps its close-order ledger.
-        outcome.ledger.sort_canonical();
-        let metrics = telemetry.metrics_snapshot();
-        ShardRun {
-            outcome,
-            // Drain rather than clone: the buffer is moved wholesale
-            // into the merge's restamp pass.
-            events: sink.take_events(),
-            metrics,
-        }
+        (Telemetry::with_sink(sink.clone()), Some(sink))
     } else {
-        let mut outcome = run_shard(config, seed, shard, &Telemetry::disabled(), true);
-        outcome.ledger.sort_canonical();
-        ShardRun {
-            outcome,
-            events: Vec::new(),
-            metrics: MetricsSnapshot::default(),
-        }
-    }
-}
-
-/// Fold per-shard runs — already in shard-index order — into one
-/// outcome.
-///
-/// Merge laws, each associative and stable under the fixed shard
-/// order: ledgers concatenate and re-sort into the canonical record
-/// order ([`Ledger::merge_sorted`]); `u64` counters sum exactly;
-/// [`FaultStats`] sum fieldwise; telemetry buffers replay through the
-/// parent handle in shard-index order (fresh, gapless sequence
-/// stamps); metric snapshots fold via [`Telemetry::merge_metrics`].
-fn merge_shard_runs(runs: Vec<ShardRun>, telemetry: &Telemetry) -> SemesterOutcome {
-    telemetry.counter_add("semester.shards", runs.len() as u64);
-    let mut quota_denials = 0u64;
-    let mut slot_pushbacks = 0u64;
-    let mut faults = FaultStats::default();
-    let mut ledgers = Vec::with_capacity(runs.len());
-    for run in runs {
-        {
-            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
-            telemetry.replay_owned(run.events);
-        }
-        {
-            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
-            telemetry.merge_metrics(&run.metrics);
-        }
-        quota_denials += run.outcome.quota_denials;
-        slot_pushbacks += run.outcome.slot_pushbacks;
-        faults.merge(&run.outcome.faults);
-        ledgers.push(run.outcome.ledger);
-    }
-    let merged_ledger = {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_LEDGER);
-        Ledger::merge_sorted(ledgers)
+        (Telemetry::disabled(), None)
     };
-    SemesterOutcome {
-        ledger: merged_ledger,
-        quota_denials,
-        slot_pushbacks,
-        faults,
+    let mut outcome = run_shard(config, seed, shard, &telemetry, true);
+    // Sort here, inside the (possibly parallel) shard map, so the merge
+    // k-way merges pre-sorted runs instead of re-sorting the whole. The
+    // single-shard legacy path never comes through here and keeps its
+    // close-order ledger.
+    outcome.ledger.sort_canonical();
+    let metrics = telemetry.metrics_snapshot();
+    ShardRun {
+        outcome,
+        // Drain rather than clone: the buffer is moved wholesale into
+        // the merge's restamp pass.
+        events: sink.map(|s| s.take_events()).unwrap_or_default(),
+        metrics,
     }
 }
 
@@ -494,7 +643,7 @@ fn merge_shard_runs(runs: Vec<ShardRun>, telemetry: &Telemetry) -> SemesterOutco
 /// monolithic driver (and `annotate` is false so the trace bytes are
 /// unchanged); multi-shard callers set `annotate` to stamp the shard
 /// index onto the plan span.
-pub(crate) fn run_shard(
+fn run_shard(
     config: &SemesterConfig,
     seed: u64,
     shard: &ShardSpec,
@@ -683,14 +832,7 @@ pub(crate) fn run_shard(
                 if (vm.attempts > 0 || vm.fault_attempts > 0 || fe.breaker.is_some())
                     && t + vm.wall > semester_end
                 {
-                    fe.stats.abandoned += 1;
-                    telemetry.instant(t, "vm.abandon", || {
-                        vec![
-                            ("name", vm.name.clone().into()),
-                            ("cause", "term_end".into()),
-                            ("leaked", false.into()),
-                        ]
-                    });
+                    fe.abandon(telemetry, t, &vm.name, "term_end".into(), false);
                     continue;
                 }
                 // An open quota breaker defers the whole attempt ("staff
@@ -790,14 +932,7 @@ pub(crate) fn run_shard(
                                 queue.push(at, Ev::VmUp(vm));
                             }
                             None => {
-                                fe.stats.abandoned += 1;
-                                telemetry.instant(t, "vm.abandon", || {
-                                    vec![
-                                        ("name", vm.name.clone().into()),
-                                        ("cause", "quota".into()),
-                                        ("leaked", false.into()),
-                                    ]
-                                });
+                                fe.abandon(telemetry, t, &vm.name, "quota".into(), false);
                             }
                         }
                     }
@@ -819,33 +954,12 @@ pub(crate) fn run_shard(
                     Err(e) => {
                         // Permanent refusal: retrying the identical call
                         // can never succeed, so the student gives up.
-                        fe.stats.abandoned += 1;
-                        let msg = e.to_string();
-                        telemetry.instant(t, "vm.abandon", || {
-                            vec![
-                                ("name", vm.name.clone().into()),
-                                ("cause", msg.clone().into()),
-                                ("leaked", false.into()),
-                            ]
-                        });
+                        fe.abandon(telemetry, t, &vm.name, e.to_string().into(), false);
                     }
                 }
             }
             Ev::VmDown { ids, fip, net, vol } => {
-                for id in ids {
-                    // Ignore instances already reaped (ablation overlap).
-                    let _ = cloud.delete_instance(id);
-                }
-                if let Some(f) = fip {
-                    let _ = cloud.release_fip(f);
-                }
-                if let Some(n) = net {
-                    let _ = cloud.delete_network(n);
-                }
-                if let Some(v) = vol {
-                    let _ = cloud.detach_volume(v);
-                    let _ = cloud.delete_volume(v);
-                }
+                tear_down(&mut cloud, &ids, fip, net, vol);
             }
             Ev::VmCrash {
                 mut vm,
@@ -871,32 +985,13 @@ pub(crate) fn run_shard(
                     // away and the surviving nodes, floating IP, network
                     // and volume all run until semester finalize. A leak
                     // is an abandonment that also keeps metering.
-                    fe.stats.abandoned += 1;
                     fe.stats.leaked += 1;
-                    telemetry.instant(t, "vm.abandon", || {
-                        vec![
-                            ("name", vm.name.clone().into()),
-                            ("cause", "crash".into()),
-                            ("leaked", true.into()),
-                        ]
-                    });
+                    fe.abandon(telemetry, t, &vm.name, "crash".into(), true);
                     telemetry.counter_add("semester.leaks", 1);
                 } else {
                     // Tidy recovery: tear down the survivors now, then
                     // relaunch for the remaining wall if it is worth it.
-                    for id in ids.iter().skip(1) {
-                        let _ = cloud.delete_instance(*id);
-                    }
-                    if let Some(f) = fip {
-                        let _ = cloud.release_fip(f);
-                    }
-                    if let Some(n) = net {
-                        let _ = cloud.delete_network(n);
-                    }
-                    if let Some(v) = vol {
-                        let _ = cloud.detach_volume(v);
-                        let _ = cloud.delete_volume(v);
-                    }
+                    tear_down(&mut cloud, ids.get(1..).unwrap_or_default(), fip, net, vol);
                     let remaining = down_at.since(t);
                     vm.fault_attempts += 1;
                     let delay =
@@ -916,14 +1011,7 @@ pub(crate) fn run_shard(
                             queue.push(t + d, Ev::VmUp(vm));
                         }
                         _ => {
-                            fe.stats.abandoned += 1;
-                            telemetry.instant(t, "vm.abandon", || {
-                                vec![
-                                    ("name", vm.name.clone().into()),
-                                    ("cause", "crash".into()),
-                                    ("leaked", false.into()),
-                                ]
-                            });
+                            fe.abandon(telemetry, t, &vm.name, "crash".into(), false);
                         }
                     }
                 }
@@ -1025,14 +1113,7 @@ pub(crate) fn run_shard(
                             );
                         }
                         None => {
-                            fe.stats.abandoned += 1;
-                            telemetry.instant(t, "vm.abandon", || {
-                                vec![
-                                    ("name", name.clone().into()),
-                                    ("cause", "lease_revoked".into()),
-                                    ("leaked", false.into()),
-                                ]
-                            });
+                            fe.abandon(telemetry, t, &name, "lease_revoked".into(), false);
                         }
                     }
                 }
@@ -1132,6 +1213,31 @@ pub(crate) fn run_shard(
     }
 }
 
+/// Delete a deployment's instances, floating IP, network and volume.
+/// Errors are ignored: a resource may already be gone (reaped by the
+/// ablation's auto-termination, or crashed).
+fn tear_down(
+    cloud: &mut Cloud,
+    ids: &[InstanceId],
+    fip: Option<FloatingIpId>,
+    net: Option<NetworkId>,
+    vol: Option<VolumeId>,
+) {
+    for &id in ids {
+        let _ = cloud.delete_instance(id);
+    }
+    if let Some(f) = fip {
+        let _ = cloud.release_fip(f);
+    }
+    if let Some(n) = net {
+        let _ = cloud.delete_network(n);
+    }
+    if let Some(v) = vol {
+        let _ = cloud.detach_volume(v);
+        let _ = cloud.delete_volume(v);
+    }
+}
+
 /// Schedule a fault-policy retry of a VM deployment, or abandon it once
 /// the policy is exhausted. `vm.fault_attempts` must already count the
 /// failure being handled.
@@ -1160,14 +1266,7 @@ fn retry_or_abandon_vm(
             queue.push(t + delay, Ev::VmUp(vm));
         }
         None => {
-            fe.stats.abandoned += 1;
-            telemetry.instant(t, "vm.abandon", || {
-                vec![
-                    ("name", vm.name.clone().into()),
-                    ("cause", "fault".into()),
-                    ("leaked", false.into()),
-                ]
-            });
+            fe.abandon(telemetry, t, &vm.name, "fault".into(), false);
         }
     }
 }
@@ -1202,11 +1301,6 @@ fn deploy_vm(
         });
     }
     let mut ids = Vec::with_capacity(vm.node_count as usize);
-    let rollback = |cloud: &mut Cloud, ids: &[InstanceId]| {
-        for &id in ids {
-            let _ = cloud.delete_instance(id);
-        }
-    };
     for k in 0..vm.node_count {
         let node_name = if vm.node_count == 1 {
             vm.name.clone()
@@ -1216,7 +1310,7 @@ fn deploy_vm(
         match cloud.create_instance(&node_name, vm.flavor) {
             Ok(id) => ids.push(id),
             Err(e) => {
-                rollback(cloud, &ids);
+                tear_down(cloud, &ids, None, None, None);
                 return Err(e);
             }
         }
@@ -1225,7 +1319,7 @@ fn deploy_vm(
         match cloud.create_network(&vm.name) {
             Ok(n) => Some(n),
             Err(e) => {
-                rollback(cloud, &ids);
+                tear_down(cloud, &ids, None, None, None);
                 return Err(e);
             }
         }
@@ -1244,7 +1338,7 @@ fn deploy_vm(
                     if let Some(n) = net {
                         let _ = cloud.delete_network(n);
                     }
-                    rollback(cloud, &ids);
+                    tear_down(cloud, &ids, None, None, None);
                     return Err(e);
                 }
             }

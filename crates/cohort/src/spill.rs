@@ -1,39 +1,36 @@
-//! Out-of-core semester execution: spill-to-disk shard runs and an
-//! incremental k-way merge with O(shard) peak memory.
+//! Out-of-core semester execution: the shard store that spills runs
+//! to disk, so peak memory is O(shard), not O(cohort).
 //!
-//! The in-memory sharded drivers ([`crate::semester::simulate_semester`])
-//! hold every shard's ledger, telemetry buffer and metrics snapshot
-//! until the global merge, so peak RSS is O(cohort) — ~30 GB at 1M
-//! students. The streaming drivers here keep the *simulation* identical
-//! but write each shard's output to an on-disk **run** the moment the
-//! shard finishes, releasing its buffers, and then consume the runs
-//! incrementally:
+//! There is one semester pipeline ([`crate::semester`]) and two shard
+//! stores. The in-memory store holds every shard's sorted ledger,
+//! telemetry buffer and metrics snapshot until the merge — ~30 GB at 1M
+//! students. The spill store here writes each shard's output to an
+//! on-disk **run** the moment the shard finishes, releasing its
+//! buffers. Its steps in the pipeline:
 //!
-//! 1. **Spill** (`merge.spill` phase): each shard's canonically sorted
+//! 1. **Put** (`merge.spill` phase): each shard's canonically sorted
 //!    ledger, telemetry buffer and metrics snapshot are encoded into
 //!    `run-0-<shard>.bin` via the compact binary codecs
 //!    ([`opml_testbed::ledger::UsageRecord::encode_into`],
 //!    [`opml_telemetry::spillcodec`]).
-//! 2. **Aux replay** (`merge.replay_restamp` / `merge.metrics`): the
-//!    telemetry and metrics blocks are streamed back in shard-index
-//!    order and folded through the parent handle exactly like the
-//!    in-memory merge — chunked [`Telemetry::replay_owned`] calls
-//!    assign the same gapless sequence stamps because restamping only
-//!    depends on arrival order.
-//! 3. **Merge** (`merge.spill` for intermediate passes, `merge.stream`
-//!    for the final pass): runs are k-way merged with bounded
-//!    read-ahead by [`StreamMerge`], the disk extension of
-//!    [`Ledger::merge_sorted`]'s index-min heap. When the run count
-//!    exceeds the merge fan-in, *contiguous* groups are merged into
-//!    intermediate runs first — contiguity preserves the shard-index
-//!    tie-break, so the final stream is byte-identical to the
-//!    in-memory merge (the spill differential test pins this).
-//! 4. **Consume**: the caller's closure sees each merged record once,
-//!    in canonical order; nothing cohort-sized is ever materialized.
+//! 2. **Replay** (`merge.replay_restamp` / `merge.metrics`): telemetry
+//!    and metrics stream back in shard-index order through the parent
+//!    handle; chunked [`Telemetry::replay_owned`] calls assign the same
+//!    gapless sequence stamps, because restamping only depends on
+//!    arrival order.
+//! 3. **Fan in** (`merge.spill`): while the run count exceeds the merge
+//!    fan-in, *contiguous* groups merge into intermediate runs;
+//!    contiguity preserves the shard-index tie-break, so the final
+//!    stream is byte-identical to the in-memory merge.
+//! 4. **Open** (`merge.stream`): each remaining run becomes a bounded
+//!    read-ahead [`RecordSource`] of the pipeline's final
+//!    [`StreamMerge`], whose records reach the caller's closure one at a
+//!    time; nothing cohort-sized is ever materialized.
 //!
-//! A cohort that fits in one shard takes the legacy single-campus path
-//! (no disk at all) and streams its close-order ledger, matching the
-//! in-memory single-shard semantics byte for byte.
+//! A single-shard cohort never reaches the store: it streams its
+//! close-order ledger with no disk at all, like the in-memory path.
+//! Run files are deleted once the merge that reads them is done, and
+//! the directory with them if nothing else lives in it.
 //!
 //! Peak memory is O(threads × shard) during simulation and
 //! O(fan-in × read-ahead) during the merge; peak disk is about twice
@@ -44,22 +41,18 @@
 //! surface as [`SpillError`], never a panic: both streaming drivers are
 //! detlint DL008 panic-freedom roots.
 
-use crate::semester::{run_shard, run_shard_buffered, SemesterConfig, ShardRun};
+use crate::semester::{pipeline, SemesterConfig, ShardRun, ShardStore};
 use opml_faults::FaultStats;
 use opml_simkernel::binio;
-use opml_simkernel::parallel::map_slice;
 use opml_telemetry::{spillcodec, Telemetry};
 use opml_testbed::ledger::{RecordSource, StreamMerge, UsageRecord};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every spill-run file.
 const MAGIC: &[u8; 8] = b"OPMLRUN1";
-
-/// Fixed header size: magic + aux length + record count.
-const HEADER_BYTES: u64 = 8 + 8 + 8;
 
 /// Record-encode buffer flush threshold while writing a run.
 const WRITE_CHUNK: usize = 64 * 1024;
@@ -73,16 +66,13 @@ const REPLAY_CHUNK: usize = 16 * 1024;
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory for run files. Created on demand; removed afterwards
-    /// if it ends up empty and `keep_runs` is false.
+    /// if it ends up empty.
     pub dir: PathBuf,
     /// Maximum runs merged in one pass (and therefore the maximum
     /// simultaneously open run files). Values below 2 are treated as 2.
     pub fanin: usize,
     /// Per-run read-ahead buffer in bytes during merges.
     pub read_ahead: usize,
-    /// Keep run files after the merge instead of deleting them
-    /// (debugging aid).
-    pub keep_runs: bool,
 }
 
 impl SpillConfig {
@@ -92,7 +82,6 @@ impl SpillConfig {
             dir: dir.into(),
             fanin: 64,
             read_ahead: 256 * 1024,
-            keep_runs: false,
         }
     }
 }
@@ -173,7 +162,7 @@ pub struct SpillStats {
 /// Result of a streaming semester run: the scalar outcome plus spill
 /// observability. The ledger itself was delivered record-by-record to
 /// the consumer and is not held here — that is the point.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StreamOutcome {
     /// Quota denials encountered (sum over shards).
     pub quota_denials: u64,
@@ -187,23 +176,20 @@ pub struct StreamOutcome {
     pub stats: SpillStats,
 }
 
-/// Everything the merge needs to know about one run file without
-/// holding any of its contents.
-#[derive(Debug, Clone)]
+/// One run file on disk, known by what the merge needs without holding
+/// any of its contents. Dropping it deletes the file, so a run lives
+/// exactly as long as the merge plan (or the source reading it) holds it.
 struct RunRef {
     path: PathBuf,
     records: u64,
+    /// Bytes written to the file.
+    bytes: u64,
 }
 
-/// Per-shard scalars carried in memory (they are O(1) per shard; only
-/// the bulky ledger/events/metrics go to disk).
-struct ShardRunMeta {
-    run: RunRef,
-    quota_denials: u64,
-    slot_pushbacks: u64,
-    faults: FaultStats,
-    has_aux: bool,
-    bytes: u64,
+impl Drop for RunRef {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.path);
+    }
 }
 
 /// Simulate a full semester out-of-core, shards executed in parallel on
@@ -222,7 +208,7 @@ pub fn simulate_semester_streaming<F: FnMut(&UsageRecord)>(
     spill: &SpillConfig,
     consumer: F,
 ) -> Result<StreamOutcome, SpillError> {
-    run_streaming(config, seed, telemetry, spill, true, consumer)
+    simulate_spilled(config, seed, telemetry, spill, true, consumer)
 }
 
 /// Sequential counterpart of [`simulate_semester_streaming`]: same
@@ -235,10 +221,11 @@ pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
     spill: &SpillConfig,
     consumer: F,
 ) -> Result<StreamOutcome, SpillError> {
-    run_streaming(config, seed, telemetry, spill, false, consumer)
+    simulate_spilled(config, seed, telemetry, spill, false, consumer)
 }
 
-fn run_streaming<F: FnMut(&UsageRecord)>(
+/// The pipeline over a [`SpillStore`].
+fn simulate_spilled<F: FnMut(&UsageRecord)>(
     config: &SemesterConfig,
     seed: u64,
     telemetry: &Telemetry,
@@ -246,272 +233,225 @@ fn run_streaming<F: FnMut(&UsageRecord)>(
     parallel: bool,
     mut consumer: F,
 ) -> Result<StreamOutcome, SpillError> {
-    let shards = config.shards();
-
-    // A cohort that fits in one shard keeps the legacy single-campus
-    // semantics (close-order ledger, no disk) — identical to the
-    // in-memory drivers' single-shard fast path.
-    if let [only] = shards.as_slice() {
-        let outcome = run_shard(config, seed, only, telemetry, false);
-        let mut records = 0u64;
-        for rec in outcome.ledger.records() {
-            consumer(rec);
-            records += 1;
-        }
-        return Ok(StreamOutcome {
-            quota_denials: outcome.quota_denials,
-            slot_pushbacks: outcome.slot_pushbacks,
-            faults: outcome.faults,
-            records,
-            stats: SpillStats::default(),
-        });
-    }
-
-    fs::create_dir_all(&spill.dir).map_err(|e| SpillError::from_io(&spill.dir, e))?;
-    let record_aux = telemetry.is_enabled();
-
-    // ---- Phase 1: simulate shards, spilling each to its own run file.
-    let metas: Vec<ShardRunMeta> = {
-        let results = if parallel {
-            map_slice(&shards, |_, shard| {
-                let run = run_shard_buffered(config, seed, shard, record_aux);
-                write_shard_run(spill, shard.index, run, record_aux)
-            })
-        } else {
-            shards
-                .iter()
-                .map(|shard| {
-                    let run = run_shard_buffered(config, seed, shard, record_aux);
-                    write_shard_run(spill, shard.index, run, record_aux)
-                })
-                .collect()
-        };
-        let mut metas = Vec::with_capacity(results.len());
-        for result in results {
-            metas.push(result?);
-        }
-        metas
+    let mut store = SpillStore {
+        config: spill,
+        aux: telemetry.is_enabled(),
+        stats: SpillStats::default(),
     };
-
-    let mut stats = SpillStats {
-        shard_runs: metas.len(),
-        ..SpillStats::default()
-    };
-    let mut quota_denials = 0u64;
-    let mut slot_pushbacks = 0u64;
-    let mut faults = FaultStats::default();
-    let expected_records: u64 = metas.iter().map(|m| m.run.records).sum();
-
-    // ---- Phase 2: fold aux blocks (telemetry replay + metrics) in
-    // shard-index order, mirroring the in-memory merge exactly.
-    telemetry.counter_add("semester.shards", metas.len() as u64);
-    for meta in &metas {
-        replay_aux(meta, spill, telemetry)?;
-        quota_denials += meta.quota_denials;
-        slot_pushbacks += meta.slot_pushbacks;
-        faults.merge(&meta.faults);
-        stats.spilled_bytes += meta.bytes;
-    }
-
-    // ---- Phase 3: hierarchical merge down to the fan-in, then stream.
-    let fanin = spill.fanin.max(2);
-    let mut level: Vec<RunRef> = metas.into_iter().map(|m| m.run).collect();
-    let mut level_no = 0u32;
-    while level.len() > fanin {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
-        level_no += 1;
-        stats.merge_passes += 1;
-        let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
-        // Merging CONTIGUOUS groups, in order, preserves the global
-        // shard-index tie-break: ties within a group keep their input
-        // order (StreamMerge is index-stable), ties across groups are
-        // resolved by group order, which equals shard order.
-        for (gi, group) in level.chunks(fanin).enumerate() {
-            if let [only] = group {
-                // An undersized tail group passes through unmerged.
-                next.push(only.clone());
-                continue;
-            }
-            let out = RunRef {
-                path: spill.dir.join(format!("run-{level_no}-{gi}.bin")),
-                records: group.iter().map(|g| g.records).sum(),
-            };
-            stats.max_open_runs = stats.max_open_runs.max(group.len());
-            stats.spilled_bytes += write_merged_run(&out, group, spill)?;
-            stats.intermediate_runs += 1;
-            if !spill.keep_runs {
-                for g in group {
-                    let _ = fs::remove_file(&g.path);
-                }
-            }
-            next.push(out);
-        }
-        level = next;
-    }
-
     let mut records = 0u64;
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_STREAM);
-        stats.max_open_runs = stats.max_open_runs.max(level.len());
-        let sources = open_sources(&level, spill)?;
-        let mut merge = StreamMerge::new(sources)?;
-        while let Some(rec) = merge.next()? {
-            consumer(&rec);
-            records += 1;
-        }
-    }
-    if !spill.keep_runs {
-        for run in &level {
-            let _ = fs::remove_file(&run.path);
-        }
-        // Only removes the directory if nothing else lives in it.
-        let _ = fs::remove_dir(&spill.dir);
-    }
-    if records != expected_records {
+    let mut sink = |record: UsageRecord| {
+        records += 1;
+        consumer(&record);
+    };
+    let result = pipeline(config, seed, telemetry, parallel, &mut store, &mut sink);
+    // Only removes the directory if nothing else lives in it.
+    let _ = fs::remove_dir(&spill.dir);
+    let outcome = result?;
+    if records != outcome.records {
         return Err(SpillError::Corrupt {
             path: spill.dir.clone(),
-            detail: format!("merged {records} records, shards produced {expected_records}"),
+            detail: format!(
+                "merged {records} records, shards produced {}",
+                outcome.records
+            ),
         });
     }
-
     Ok(StreamOutcome {
-        quota_denials,
-        slot_pushbacks,
-        faults,
-        records,
-        stats,
+        stats: store.stats,
+        ..outcome
     })
 }
 
-/// Write one shard's output as a run file and return the in-memory
-/// scalars. Consumes the `ShardRun`, releasing its buffers on return —
-/// this is what makes peak RSS O(shard) instead of O(cohort).
-fn write_shard_run(
-    spill: &SpillConfig,
-    shard_index: u32,
-    run: ShardRun,
-    record_aux: bool,
-) -> Result<ShardRunMeta, SpillError> {
-    let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
-    let path = spill.dir.join(format!("run-0-{shard_index}.bin"));
+/// The out-of-core [`ShardStore`]: each shard becomes one run file in
+/// [`SpillConfig::dir`]; only its O(1) scalars stay in memory.
+struct SpillStore<'a> {
+    config: &'a SpillConfig,
+    /// Whether shard runs carry a telemetry/metrics aux block.
+    aux: bool,
+    stats: SpillStats,
+}
 
-    let mut aux = Vec::new();
-    if record_aux {
-        spillcodec::encode_metrics(&run.metrics, &mut aux);
-        binio::put_u64(&mut aux, run.events.len() as u64);
-        for ev in &run.events {
-            spillcodec::encode_event(ev, &mut aux);
+impl SpillStore<'_> {
+    /// Write an `OPMLRUN1` file — header, `aux`, then the `records`
+    /// the header declares, each encoded by `next` until it reports no
+    /// more. Shard runs and intermediate merge runs both come through
+    /// here.
+    fn write_run(
+        &self,
+        name: String,
+        aux: &[u8],
+        records: u64,
+        mut next: impl FnMut(&mut Vec<u8>) -> Result<bool, SpillError>,
+    ) -> Result<RunRef, SpillError> {
+        let dir = &self.config.dir;
+        fs::create_dir_all(dir).map_err(|e| SpillError::from_io(dir, e))?;
+        let path = dir.join(name);
+        let io = |e| SpillError::from_io(&path, e);
+        let mut out = BufWriter::with_capacity(WRITE_CHUNK, File::create(&path).map_err(io)?);
+        let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
+        buf.extend_from_slice(MAGIC);
+        binio::put_u64(&mut buf, aux.len() as u64);
+        binio::put_u64(&mut buf, records);
+        buf.extend_from_slice(aux);
+        while next(&mut buf)? {
+            if buf.len() >= WRITE_CHUNK {
+                out.write_all(&buf).map_err(io)?;
+                buf.clear();
+            }
         }
-    }
-
-    let records = run.outcome.ledger.records();
-    let file = File::create(&path).map_err(|e| SpillError::from_io(&path, e))?;
-    let mut w = BufWriter::with_capacity(WRITE_CHUNK, file);
-    let mut bytes = 0u64;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
-    buf.extend_from_slice(MAGIC);
-    binio::put_u64(&mut buf, aux.len() as u64);
-    binio::put_u64(&mut buf, records.len() as u64);
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(&path, e))?;
-    w.write_all(&aux)
-        .map_err(|e| SpillError::from_io(&path, e))?;
-    bytes += buf.len() as u64 + aux.len() as u64;
-    drop(aux);
-    buf.clear();
-    for rec in records {
-        rec.encode_into(&mut buf);
-        if buf.len() >= WRITE_CHUNK {
-            w.write_all(&buf)
-                .map_err(|e| SpillError::from_io(&path, e))?;
-            bytes += buf.len() as u64;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(&path, e))?;
-    bytes += buf.len() as u64;
-    w.into_inner()
-        .map_err(|e| SpillError::from_io(&path, e.into_error()))?
-        .flush()
-        .map_err(|e| SpillError::from_io(&path, e))?;
-
-    Ok(ShardRunMeta {
-        run: RunRef {
+        out.write_all(&buf).map_err(io)?;
+        // Flushes the writer; the end position is the file's size.
+        let bytes = out.stream_position().map_err(io)?;
+        Ok(RunRef {
             path,
-            records: records.len() as u64,
-        },
-        quota_denials: run.outcome.quota_denials,
-        slot_pushbacks: run.outcome.slot_pushbacks,
-        faults: run.outcome.faults,
-        has_aux: record_aux,
-        bytes,
-    })
+            records,
+            bytes,
+        })
+    }
 }
 
-/// Read a run-file header, leaving the reader positioned at the aux
-/// block. Returns `(aux_len, record_count)`.
-fn read_header(r: &mut impl io::Read, path: &Path) -> Result<(u64, u64), SpillError> {
+impl ShardStore for SpillStore<'_> {
+    type Error = SpillError;
+    type Run = RunRef;
+    type Source = RunRecordSource;
+    const MERGE_PHASE: &'static str = opml_profiler::phases::MERGE_STREAM;
+
+    /// Write one shard's output as a run file. Consumes the `ShardRun`,
+    /// releasing its buffers on return — this is what makes peak RSS
+    /// O(shard) instead of O(cohort).
+    fn put(&self, index: u32, run: ShardRun) -> Result<RunRef, SpillError> {
+        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
+        let mut aux = Vec::new();
+        if self.aux {
+            spillcodec::encode_metrics(&run.metrics, &mut aux);
+            binio::put_u64(&mut aux, run.events.len() as u64);
+            for ev in &run.events {
+                spillcodec::encode_event(ev, &mut aux);
+            }
+        }
+        let records = run.outcome.ledger.records();
+        let mut rest = records.iter();
+        self.write_run(
+            format!("run-0-{index}.bin"),
+            &aux,
+            records.len() as u64,
+            |buf| Ok(rest.next().map(|rec| rec.encode_into(buf)).is_some()),
+        )
+    }
+
+    /// Stream the shard's aux block (metrics + telemetry events) back
+    /// through the parent handle: chunked `replay_owned` first, then
+    /// the metrics fold — the same per-shard order as the in-memory
+    /// store.
+    fn replay(&mut self, run: &mut RunRef, telemetry: &Telemetry) -> Result<(), SpillError> {
+        self.stats.shard_runs += 1;
+        self.stats.spilled_bytes += run.bytes;
+        if !self.aux {
+            return Ok(());
+        }
+        let io = |e| SpillError::from_io(&run.path, e);
+        let (mut r, aux_len) = open_run(run, self.config.read_ahead)?;
+        if aux_len == 0 {
+            return Ok(());
+        }
+        let metrics = spillcodec::decode_metrics(&mut r).map_err(io)?;
+        let event_count = binio::read_u64(&mut r).map_err(io)?;
+        {
+            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
+            let mut pending = Vec::with_capacity(REPLAY_CHUNK.min(event_count as usize));
+            for _ in 0..event_count {
+                pending.push(spillcodec::decode_event(&mut r).map_err(io)?);
+                if pending.len() >= REPLAY_CHUNK {
+                    let chunk = std::mem::replace(&mut pending, Vec::with_capacity(REPLAY_CHUNK));
+                    telemetry.replay_owned(chunk);
+                }
+            }
+            if !pending.is_empty() {
+                telemetry.replay_owned(pending);
+            }
+        }
+        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
+        telemetry.merge_metrics(&metrics);
+        Ok(())
+    }
+
+    fn fan_in(&mut self, mut level: Vec<RunRef>) -> Result<Vec<RunRef>, SpillError> {
+        let fanin = self.config.fanin.max(2);
+        while level.len() > fanin {
+            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
+            self.stats.merge_passes += 1;
+            let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
+            let mut rest = level.into_iter().peekable();
+            while rest.peek().is_some() {
+                // Merging CONTIGUOUS groups, in order, preserves the
+                // global shard-index tie-break: ties within a group keep
+                // their input order (StreamMerge is index-stable), ties
+                // across groups are resolved by group order, which
+                // equals shard order. An undersized tail group of one
+                // passes through unmerged.
+                let mut group: Vec<RunRef> = rest.by_ref().take(fanin).collect();
+                if group.len() == 1 {
+                    next.append(&mut group);
+                    continue;
+                }
+                let records = group.iter().map(|run| run.records).sum();
+                let mut merge = StreamMerge::new(self.open(group)?)?;
+                // Aux was replayed at level zero: intermediate runs carry
+                // records only.
+                let name = format!("run-{}-{}.bin", self.stats.merge_passes, next.len());
+                let run = self.write_run(name, &[], records, |buf| {
+                    Ok(merge.next()?.map(|rec| rec.encode_into(buf)).is_some())
+                })?;
+                self.stats.spilled_bytes += run.bytes;
+                self.stats.intermediate_runs += 1;
+                next.push(run);
+            }
+            level = next;
+        }
+        Ok(level)
+    }
+
+    fn open(&mut self, runs: Vec<RunRef>) -> Result<Vec<RunRecordSource>, SpillError> {
+        self.stats.max_open_runs = self.stats.max_open_runs.max(runs.len());
+        runs.into_iter()
+            .map(|run| RunRecordSource::open(run, self.config.read_ahead))
+            .collect()
+    }
+}
+
+/// Open a run file and read its header, leaving the reader at the aux
+/// block. Returns the reader and the aux length.
+fn open_run(run: &RunRef, read_ahead: usize) -> Result<(BufReader<File>, u64), SpillError> {
+    let path = &run.path;
+    let io = |e| SpillError::from_io(path, e);
+    let mut r = BufReader::with_capacity(read_ahead, File::open(path).map_err(io)?);
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|e| SpillError::from_io(path, e))?;
+    r.read_exact(&mut magic).map_err(io)?;
     if &magic != MAGIC {
         return Err(SpillError::Corrupt {
-            path: path.to_path_buf(),
+            path: path.clone(),
             detail: format!("bad magic {magic:02x?}"),
         });
     }
-    let aux_len = binio::read_u64(r).map_err(|e| SpillError::from_io(path, e))?;
-    let record_count = binio::read_u64(r).map_err(|e| SpillError::from_io(path, e))?;
-    Ok((aux_len, record_count))
-}
-
-/// Stream one shard's aux block (metrics + telemetry events) back
-/// through the parent handle: chunked `replay_owned` first, then the
-/// metrics fold — the same per-shard order as the in-memory merge.
-fn replay_aux(
-    meta: &ShardRunMeta,
-    spill: &SpillConfig,
-    telemetry: &Telemetry,
-) -> Result<(), SpillError> {
-    if !meta.has_aux {
-        return Ok(());
+    let aux_len = binio::read_u64(&mut r).map_err(io)?;
+    let record_count = binio::read_u64(&mut r).map_err(io)?;
+    if record_count != run.records {
+        return Err(SpillError::Corrupt {
+            path: path.clone(),
+            detail: format!(
+                "header says {record_count} records, merge plan expected {}",
+                run.records
+            ),
+        });
     }
-    let path = &meta.run.path;
-    let file = File::open(path).map_err(|e| SpillError::from_io(path, e))?;
-    let mut r = BufReader::with_capacity(spill.read_ahead, file);
-    let (aux_len, _records) = read_header(&mut r, path)?;
-    if aux_len == 0 {
-        return Ok(());
-    }
-    let metrics = spillcodec::decode_metrics(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-    let event_count = binio::read_u64(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
-        let mut pending = Vec::with_capacity(REPLAY_CHUNK.min(event_count as usize));
-        for _ in 0..event_count {
-            pending
-                .push(spillcodec::decode_event(&mut r).map_err(|e| SpillError::from_io(path, e))?);
-            if pending.len() >= REPLAY_CHUNK {
-                let chunk = std::mem::replace(&mut pending, Vec::with_capacity(REPLAY_CHUNK));
-                telemetry.replay_owned(chunk);
-            }
-        }
-        if !pending.is_empty() {
-            telemetry.replay_owned(pending);
-        }
-    }
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
-        telemetry.merge_metrics(&metrics);
-    }
-    Ok(())
+    Ok((r, aux_len))
 }
 
 /// A run file opened for streaming record decode: the bounded
-/// read-ahead source feeding [`StreamMerge`].
+/// read-ahead source feeding [`StreamMerge`]. Dropping it deletes the
+/// file.
 struct RunRecordSource {
-    path: PathBuf,
+    run: RunRef,
     reader: BufReader<File>,
     remaining: u64,
 }
@@ -520,40 +460,18 @@ impl RunRecordSource {
     /// Open `run`, skip its aux block, and position at the first
     /// record. Decode is count-driven, so a truncated file surfaces as
     /// `UnexpectedEof` mid-stream rather than silently ending early.
-    fn open(run: &RunRef, spill: &SpillConfig) -> Result<RunRecordSource, SpillError> {
-        let path = run.path.clone();
-        let file = File::open(&path).map_err(|e| SpillError::from_io(&path, e))?;
-        let mut reader = BufReader::with_capacity(spill.read_ahead, file);
-        let (aux_len, record_count) = read_header(&mut reader, &path)?;
-        if record_count != run.records {
-            return Err(SpillError::Corrupt {
-                path,
-                detail: format!(
-                    "header says {record_count} records, merge plan expected {}",
-                    run.records
-                ),
-            });
-        }
-        skip_bytes(&mut reader, aux_len, &path)?;
+    fn open(run: RunRef, read_ahead: usize) -> Result<RunRecordSource, SpillError> {
+        let (mut reader, aux_len) = open_run(&run, read_ahead)?;
+        // Skip the aux block without reading it. An implausible length
+        // seeks past the end, and the first record decode fails.
+        reader
+            .seek_relative(i64::try_from(aux_len).unwrap_or(i64::MAX))
+            .map_err(|e| SpillError::from_io(&run.path, e))?;
         Ok(RunRecordSource {
-            path,
+            remaining: run.records,
+            run,
             reader,
-            remaining: record_count,
         })
-    }
-}
-
-/// Skip `n` bytes of an open run reader (the aux block) without
-/// reading them into memory.
-fn skip_bytes(r: &mut BufReader<File>, n: u64, path: &Path) -> Result<(), SpillError> {
-    match i64::try_from(n) {
-        Ok(delta) => r
-            .seek_relative(delta)
-            .map_err(|e| SpillError::from_io(path, e)),
-        Err(_) => Err(SpillError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("implausible aux length {n}"),
-        }),
     }
 }
 
@@ -569,59 +487,9 @@ impl RecordSource for RunRecordSource {
                 self.remaining -= 1;
                 Ok(Some(rec))
             }
-            Err(e) => Err(SpillError::from_io(&self.path, e)),
+            Err(e) => Err(SpillError::from_io(&self.run.path, e)),
         }
     }
-}
-
-fn open_sources(runs: &[RunRef], spill: &SpillConfig) -> Result<Vec<RunRecordSource>, SpillError> {
-    runs.iter()
-        .map(|r| RunRecordSource::open(r, spill))
-        .collect()
-}
-
-/// Merge a contiguous group of runs into one intermediate run
-/// (ledger-only: aux was already replayed). Returns bytes written.
-fn write_merged_run(
-    out: &RunRef,
-    group: &[RunRef],
-    spill: &SpillConfig,
-) -> Result<u64, SpillError> {
-    let path = &out.path;
-    let sources = open_sources(group, spill)?;
-    let mut merge = StreamMerge::new(sources)?;
-    let file = File::create(path).map_err(|e| SpillError::from_io(path, e))?;
-    let mut w = BufWriter::with_capacity(WRITE_CHUNK, file);
-    let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
-    buf.extend_from_slice(MAGIC);
-    binio::put_u64(&mut buf, 0); // no aux in intermediate runs
-    binio::put_u64(&mut buf, out.records);
-    let mut bytes = 0u64;
-    let mut written = 0u64;
-    while let Some(rec) = merge.next()? {
-        rec.encode_into(&mut buf);
-        written += 1;
-        if buf.len() >= WRITE_CHUNK {
-            w.write_all(&buf)
-                .map_err(|e| SpillError::from_io(path, e))?;
-            bytes += buf.len() as u64;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(path, e))?;
-    bytes += buf.len() as u64;
-    w.into_inner()
-        .map_err(|e| SpillError::from_io(path, e.into_error()))?
-        .flush()
-        .map_err(|e| SpillError::from_io(path, e))?;
-    if written != out.records {
-        return Err(SpillError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("merged {written} records, inputs declared {}", out.records),
-        });
-    }
-    Ok(bytes + HEADER_BYTES)
 }
 
 #[cfg(test)]
@@ -751,9 +619,9 @@ mod tests {
         let run = RunRef {
             path: path.clone(),
             records: 1,
+            bytes: 8,
         };
-        let spill = SpillConfig::new(&dir);
-        match RunRecordSource::open(&run, &spill) {
+        match RunRecordSource::open(run, SpillConfig::new(&dir).read_ahead) {
             Err(SpillError::Corrupt { .. }) => {}
             Err(other) => panic!("expected Corrupt, got {other:?}"),
             Ok(_) => panic!("expected Corrupt, got a source"),

@@ -25,11 +25,13 @@ use crate::rules::excerpt;
 use crate::Finding;
 
 /// Simulation entry points the reachability walk starts from: the
-/// serial and sharded semester drivers plus their out-of-core
-/// streaming counterparts (cohort), the scheduler's fallible runner
-/// (sched), and the service-mode soak (serve). Everything the
-/// simulation can execute is reachable from these by construction.
+/// semester pipeline (cohort) with the serial and sharded drivers and
+/// their out-of-core streaming counterparts that wrap it, the
+/// scheduler's fallible runner (sched), and the service-mode soak
+/// (serve). Everything the simulation can execute is reachable from
+/// these by construction.
 pub const PANIC_ROOTS: &[&str] = &[
+    "pipeline",
     "simulate_semester",
     "simulate_semester_with",
     "simulate_semester_serial",

@@ -35,6 +35,7 @@ use opml_simkernel::SimTime;
 use opml_telemetry::{MemorySink, Telemetry, HARNESS_TRACK, TRACK_ATTR};
 
 use crate::digest::fnv1a64;
+use opml_profiler::timed;
 
 /// Schema tag written into `profile.json`.
 pub const PROFILE_SCHEMA: &str = "opml_profile/v2";
@@ -137,16 +138,6 @@ pub struct ProfileReport {
     pub events: u64,
     /// Peak RSS at the end of the run, if readable.
     pub peak_rss_kb: Option<u64>,
-}
-
-/// Wall-time one run (harness-side measurement, same pattern as
-/// `scale::timed`).
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 /// Run one profiled semester and assemble the artifacts.

@@ -39,6 +39,7 @@ use opml_cohort::spill::{
     simulate_semester_streaming, simulate_semester_streaming_serial, SpillConfig, StreamOutcome,
 };
 use opml_faults::FaultStats;
+use opml_profiler::timed;
 use opml_profiler::RssSampler;
 use opml_report::table::{fmt_num, Table};
 use opml_simkernel::parallel::with_thread_count;
@@ -208,16 +209,6 @@ fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
 /// only decides *whether* to spill under `--mem-budget-mb`.
 pub fn estimated_peak_mb(enrollment: u32) -> u64 {
     u64::from(enrollment) * 32 / 1024
-}
-
-/// Wall-time one run. The simulator itself never reads the clock; this
-/// measures it from outside, which is the one sanctioned use.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 /// Peak resident set (`VmHWM`) of the current process, in kB.

@@ -1,19 +1,20 @@
 //! Property tests for the shard-merge laws.
 //!
 //! The sharded semester driver folds per-shard results with three
-//! merges: [`Ledger::merge_sorted`] for usage records, fieldwise
-//! [`FaultStats::merge`] for failure counters, and rollups rebuilt from
-//! the canonically merged ledger. Each law must be associative and
-//! invariant to shard order, or the parallel driver could not promise
-//! byte-identical outcomes at any thread count. These properties pin
-//! exactly that, on arbitrary synthetic fragments.
+//! merges: [`StreamMerge`] over the canonically sorted shard ledgers
+//! for usage records, fieldwise [`FaultStats::merge`] for failure
+//! counters, and rollups rebuilt from the canonically merged ledger.
+//! Each law must be associative and invariant to shard order, or the
+//! parallel driver could not promise byte-identical outcomes at any
+//! thread count. These properties pin exactly that, on arbitrary
+//! synthetic fragments.
 
 use opml_faults::FaultStats;
 use opml_metering::attribution::student_name;
 use opml_metering::rollup::{AssignmentRollup, PerStudentUsage};
 use opml_simkernel::SimTime;
 use opml_testbed::flavor::FlavorId;
-use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageKind, UsageRecord};
+use opml_testbed::ledger::{Ledger, StreamMerge, UsageKind, UsageRecord};
 use proptest::prelude::*;
 
 /// Deterministically build one synthetic record from drawn scalars.
@@ -50,13 +51,38 @@ fn record(student: u32, kind_sel: usize, start: u64, len: u64) -> UsageRecord {
     }
 }
 
-/// Split drawn records into `shards` fragments by round-robin.
+/// Split drawn records into `shards` fragments by round-robin, each
+/// sorted canonically, as every shard sorts its ledger before the merge.
 fn fragments(draws: &[(u32, usize, u64, u64)], shards: usize) -> Vec<Ledger> {
     let mut frags = vec![Ledger::new(); shards.max(1)];
     for (i, &(student, kind_sel, start, len)) in draws.iter().enumerate() {
         frags[i % shards.max(1)].push(record(student, kind_sel, start, len));
     }
+    for frag in &mut frags {
+        frag.sort_canonical();
+    }
     frags
+}
+
+/// Merge sorted fragments, in the given order, through [`StreamMerge`].
+fn stream_merge(frags: Vec<Ledger>) -> Ledger {
+    let Ok(mut merge) = StreamMerge::new(frags.into_iter().map(Ledger::into_iter).collect());
+    let mut merged = Ledger::new();
+    while let Ok(Some(rec)) = merge.next() {
+        merged.push(rec);
+    }
+    merged
+}
+
+/// The reference every merge must reproduce: concatenate the
+/// fragments, then one stable canonical sort.
+fn concat_then_sort(frags: &[Ledger]) -> Ledger {
+    let mut all = Ledger::new();
+    for rec in frags.iter().flat_map(Ledger::records) {
+        all.push(rec.clone());
+    }
+    all.sort_canonical();
+    all
 }
 
 fn ledger_bytes(l: &Ledger) -> String {
@@ -64,29 +90,29 @@ fn ledger_bytes(l: &Ledger) -> String {
 }
 
 proptest! {
-    /// Merging ledger fragments is invariant to fragment order and to
-    /// grouping (associativity): any shard schedule serializes to the
-    /// same bytes.
+    /// Merging sorted ledger fragments reproduces concatenate-then-sort
+    /// and is invariant to fragment order and to grouping
+    /// (associativity): any shard schedule serializes to the same bytes.
     #[test]
     fn ledger_merge_is_order_and_grouping_invariant(
         draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
         shards in 1usize..6,
     ) {
         let frags = fragments(&draws, shards);
+        let reference = ledger_bytes(&concat_then_sort(&frags));
 
         // Fragment order: forward vs reversed.
-        let forward = Ledger::merge_sorted(frags.clone());
-        let mut reversed_frags = frags.clone();
-        reversed_frags.reverse();
-        let reversed = Ledger::merge_sorted(reversed_frags);
-        prop_assert_eq!(ledger_bytes(&forward), ledger_bytes(&reversed));
+        prop_assert_eq!(&ledger_bytes(&stream_merge(frags.clone())), &reference);
+        let mut reversed = frags.clone();
+        reversed.reverse();
+        prop_assert_eq!(&ledger_bytes(&stream_merge(reversed)), &reference);
 
         // Grouping: fold pairwise-left vs merge-all-at-once.
         let mut left = Ledger::new();
         for frag in frags {
-            left = Ledger::merge_sorted([left, frag]);
+            left = stream_merge(vec![left, frag]);
         }
-        prop_assert_eq!(ledger_bytes(&forward), ledger_bytes(&left));
+        prop_assert_eq!(&ledger_bytes(&left), &reference);
     }
 
     /// Fieldwise FaultStats merge is associative and commutative with
@@ -140,8 +166,8 @@ proptest! {
         let mut rotated = frags.clone();
         rotated.rotate_left(1);
 
-        let merged_a = Ledger::merge_sorted(frags);
-        let merged_b = Ledger::merge_sorted(rotated);
+        let merged_a = stream_merge(frags);
+        let merged_b = stream_merge(rotated);
 
         let rollup_a = AssignmentRollup::from_ledger(&merged_a, 191);
         let rollup_b = AssignmentRollup::from_ledger(&merged_b, 191);
@@ -156,53 +182,5 @@ proptest! {
             serde_json::to_string(&per_a).expect("serialize per-student"),
             serde_json::to_string(&per_b).expect("serialize per-student")
         );
-    }
-}
-
-/// In-memory [`RecordSource`] over a pre-sorted fragment — the test
-/// stand-in for an on-disk spill run.
-struct VecSource {
-    records: std::vec::IntoIter<UsageRecord>,
-}
-
-impl RecordSource for VecSource {
-    type Error = std::convert::Infallible;
-
-    fn next_record(&mut self) -> Result<Option<UsageRecord>, Self::Error> {
-        Ok(self.records.next())
-    }
-}
-
-proptest! {
-    /// The streaming k-way merge over sorted sources is record-for-
-    /// record identical to the in-memory [`Ledger::merge_sorted`] over
-    /// the same fragments — the law that lets the out-of-core semester
-    /// pipeline substitute disk runs for materialized shard ledgers
-    /// without perturbing a single byte of the canonical ledger.
-    #[test]
-    fn stream_merge_equals_in_memory_merge(
-        draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
-        shards in 1usize..6,
-    ) {
-        let mut frags = fragments(&draws, shards);
-        for frag in &mut frags {
-            frag.sort_canonical();
-        }
-
-        let reference = Ledger::merge_sorted(frags.clone());
-
-        let sources = frags
-            .into_iter()
-            .map(|f| VecSource {
-                records: f.records().to_vec().into_iter(),
-            })
-            .collect();
-        let mut merge = StreamMerge::new(sources).expect("infallible sources");
-        let mut streamed = Ledger::new();
-        while let Some(rec) = merge.next().expect("infallible sources") {
-            streamed.push(rec);
-        }
-
-        prop_assert_eq!(ledger_bytes(&reference), ledger_bytes(&streamed));
     }
 }

@@ -62,3 +62,14 @@ pub fn install_pool_attribution() {
 pub use spanprof::{
     profile_spans, shard_breakdown, ShardBreakdown, ShardStat, SpanPathStat, SpanProfile,
 };
+
+/// Run `f` and return its result with the wall time it took, in
+/// seconds. Harnesses measure the simulator from outside with it; the
+/// simulator itself never reads the clock.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    // detlint::allow(DL001): harness measures wall time by design
+    let start = std::time::Instant::now();
+    let r = f();
+    // detlint::allow(DL001): harness measures wall time by design
+    (r, start.elapsed().as_secs_f64())
+}
